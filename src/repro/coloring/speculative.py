@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.coloring._first_fit import first_fit
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import as_rng
 
@@ -51,6 +52,8 @@ def speculative_coloring(
     -------
     ``(n,)`` color array, colors in ``0..C-1``.
     """
+    from repro.core.workspace import gather_rows  # local import: avoid cycle
+
     n = graph.num_vertices
     colors = np.full(n, -1, dtype=np.int64)
     if n == 0:
@@ -58,46 +61,30 @@ def speculative_coloring(
     rng = as_rng(seed)
     priority = rng.permutation(n).astype(np.int64)
 
-    indptr, indices = graph.indptr, graph.indices
-    row_of = graph.row_of_entry()
-    non_loop = indices != row_of
-    src_all = row_of[non_loop]
-    dst_all = indices[non_loop]
-
+    indices = graph.indices
     pending = np.arange(n, dtype=np.int64)
     for _ in range(max_rounds):
         if pending.size == 0:
             break
         # --- speculation: every pending vertex picks its mex color from
-        # the *snapshot* (stale reads allowed — that's the speculation).
-        snapshot = colors.copy()
-        edges_scanned = 0
-        for v in pending.tolist():
-            lo, hi = indptr[v], indptr[v + 1]
-            nbrs = indices[lo:hi]
-            edges_scanned += hi - lo
-            used = set(
-                int(c) for c in snapshot[nbrs[nbrs != v]].tolist() if c >= 0
-            )
-            c = 0
-            while c in used:
-                c += 1
-            colors[v] = c
+        # the colors as they stood at the round's start (stale reads
+        # allowed — that's the speculation).
+        positions, owner = gather_rows(graph, pending)
+        nbr = indices[positions]
+        chosen = first_fit(colors, pending, owner, nbr)
+        colors[pending] = chosen
         if work_log is not None:
-            work_log.append((int(pending.size), int(edges_scanned)))
-        # --- conflict detection (vectorized over all non-loop entries):
-        # adjacent equal colors where both endpoints were just colored.
-        in_pending = np.zeros(n, dtype=bool)
-        in_pending[pending] = True
-        live = in_pending[src_all] | in_pending[dst_all]
-        src = src_all[live]
-        dst = dst_all[live]
-        clash = colors[src] == colors[dst]
+            work_log.append((int(pending.size), int(positions.size)))
+        # --- conflict detection: a pending vertex avoided every color it
+        # read, so only two just-colored endpoints can clash, and the
+        # pending rows hold each such edge in both directions.
+        src = pending[owner]
+        clash = (colors[nbr] == chosen[owner]) & (nbr != src)
         if not clash.any():
             break
         # The lower-priority endpoint of each clashing edge recolors.
         a = src[clash]
-        b = dst[clash]
+        b = nbr[clash]
         loser = np.where(priority[a] < priority[b], a, b)
         pending = np.unique(loser)
         colors[pending] = -1

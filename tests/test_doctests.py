@@ -13,6 +13,7 @@ import pytest
 
 MODULE_NAMES = [
     "repro.bench.ascii_plot",
+    "repro.coloring._first_fit",
     "repro.core.batch",
     "repro.core.modularity",
     "repro.dynamic.dynamic_graph",
