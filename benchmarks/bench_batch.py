@@ -14,7 +14,7 @@ communities and modularity for every graph; the batch changes
 throughput, never results.  Run as a script
 (``python benchmarks/bench_batch.py``) it writes ``BENCH_batch.json``
 at the repository root with one record per execution mode, each
-stamped with the :func:`bench_kernels.provenance` fields
+stamped with the :func:`repro.obs.regress.provenance` fields
 (``commit``, ``date``, ``backend``).
 """
 
@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from bench_kernels import provenance
+from repro.obs.regress import provenance
 
 #: Default fleet: well above the 32-graph acceptance floor, small enough
 #: that the whole suite runs in a few seconds.

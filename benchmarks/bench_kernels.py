@@ -31,6 +31,7 @@ from repro.core.sweep import (
 )
 from repro.datasets.catalog import load_dataset
 from repro.graph.coarsen import coarsen
+from repro.obs.regress import provenance
 
 
 @pytest.fixture(scope="module")
@@ -181,31 +182,6 @@ def _build_graph(spec):
 
     name, args, kwargs = spec
     return getattr(generators, name)(*args, **kwargs)
-
-
-def provenance(repo_root):
-    """Provenance fields stamped on every benchmark record.
-
-    ``commit`` is the repository HEAD the numbers were measured at
-    (``"unknown"`` outside a git checkout), ``date`` the UTC measurement
-    day, and ``backend`` the array backend the kernels dispatched to —
-    without these a committed JSON cannot be compared across PRs or
-    across NumPy/CuPy/torch runs.
-    """
-    import datetime
-    import subprocess
-
-    from repro.backends import backend_default
-
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=repo_root, check=True,
-            capture_output=True, text=True,
-        ).stdout.strip()
-    except (subprocess.CalledProcessError, OSError):
-        commit = "unknown"
-    date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
-    return {"commit": commit, "date": date, "backend": backend_default()}
 
 
 def time_phase(graph, repeats=3, traced=False, **kwargs):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from repro.backends import backend_default as array_backend_default
 from repro.lint.sanitizer import sanitize_default
 from repro.obs.live import metrics_ring_default
 from repro.obs.profile import profile_default
@@ -118,13 +117,9 @@ class LouvainConfig:
     num_threads:
         Worker count for the thread/process backends.
     array_backend:
-        Array-API namespace the sweep kernels run against
-        (:mod:`repro.backends`): ``"numpy"`` (default; bitwise identical
-        to the pre-dispatch kernels), ``"cupy"``, ``"torch"``, or
-        ``"array-api-strict"`` — non-NumPy backends require the
-        corresponding package.  Defaults to the ``REPRO_ARRAY_BACKEND``
-        environment setting.  Like ``backend``, this is execution
-        mechanics, not a semantic field.
+        Array namespace the sweep kernels run against; ``"numpy"`` is the
+        only value.  Kept so serialized configs (serve WAL records,
+        checkpoint ``config_json``) that carry the key still load.
     max_phases / max_iterations_per_phase:
         Safety caps; the algorithm normally terminates on thresholds alone.
     sanitize:
@@ -203,7 +198,7 @@ class LouvainConfig:
     prune: bool = True
     incremental_modularity: bool = True
     backend: str = "serial"
-    array_backend: str = field(default_factory=array_backend_default)
+    array_backend: str = "numpy"
     sanitize: bool = field(default_factory=sanitize_default)
     trace: bool = field(default_factory=trace_default)
     profile: bool = field(default_factory=profile_default)
@@ -234,8 +229,11 @@ class LouvainConfig:
             raise ValidationError(f"unknown aggregation {self.aggregation!r}")
         if self.backend not in ("serial", "threads", "processes"):
             raise ValidationError(f"unknown backend {self.backend!r}")
-        if not isinstance(self.array_backend, str) or not self.array_backend:
-            raise ValidationError("array_backend must be a backend name")
+        if self.array_backend != "numpy":
+            raise ValidationError(
+                f"unknown array backend {self.array_backend!r} "
+                f"(the kernels run on NumPy only)"
+            )
         if self.metrics_ring is not None and (
                 not isinstance(self.metrics_ring, str) or not self.metrics_ring):
             raise ValidationError(

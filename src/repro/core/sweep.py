@@ -48,13 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import ArrayOps, get_ops, numpy_ops
 from repro.core.workspace import SweepWorkspace, aggregate_pairs, build_plan, gather_rows
 from repro.graph.csr import CSRGraph
 from repro.lint.sanitizer import frozen_snapshot, resolve_sanitize, snapshot_kernel
 from repro.obs.trace import get_tracer
 from repro.parallel.backends import ExecutionBackend, SerialBackend
 from repro.parallel.chunking import edge_balanced_partition
+from repro.utils.arrays import run_boundaries
 from repro.utils.errors import ValidationError
 
 __all__ = [
@@ -92,7 +92,7 @@ class SweepState:
         )
 
     def num_communities(self) -> int:
-        return int(numpy_ops.count_nonzero(self.comm_size))
+        return int(np.count_nonzero(self.comm_size))
 
 
 def init_state(graph: CSRGraph, initial=None) -> SweepState:
@@ -103,15 +103,15 @@ def init_state(graph: CSRGraph, initial=None) -> SweepState:
     """
     n = graph.num_vertices
     if initial is None:
-        comm = numpy_ops.arange(n, dtype=np.int64)
+        comm = np.arange(n, dtype=np.int64)
     else:
-        comm = numpy_ops.asarray(initial, dtype=np.int64).copy()
+        comm = np.asarray(initial, dtype=np.int64).copy()
         if comm.shape != (n,):
             raise ValidationError(f"initial assignment must have shape ({n},)")
         if n and (comm.min() < 0 or comm.max() >= n):
             raise ValidationError("initial labels must lie in [0, n)")
-    comm_degree = numpy_ops.bincount(comm, weights=graph.degrees, minlength=n)
-    comm_size = numpy_ops.bincount(comm, minlength=n)
+    comm_degree = np.bincount(comm, weights=graph.degrees, minlength=n)
+    comm_size = np.bincount(comm, minlength=n)
     return SweepState(comm, comm_degree, comm_size.astype(np.int64))
 
 
@@ -134,15 +134,15 @@ def compute_targets_reference(
     """
     m = graph.total_weight
     if m <= 0:
-        return state.comm[numpy_ops.asarray(vertices, dtype=np.int64)].copy()
+        return state.comm[np.asarray(vertices, dtype=np.int64)].copy()
     two_m_sq = (2.0 * m) ** 2
     comm = state.comm
     a = state.comm_degree
     size = state.comm_size
     degrees = graph.degrees
 
-    targets = numpy_ops.empty(len(vertices), dtype=np.int64)
-    for out_idx, v in enumerate(numpy_ops.asarray(vertices, dtype=np.int64)):
+    targets = np.empty(len(vertices), dtype=np.int64)
+    for out_idx, v in enumerate(np.asarray(vertices, dtype=np.int64)):
         cur = int(comm[v])
         nbrs, ws = graph.neighbors(v)
         k_v = float(degrees[v])
@@ -185,18 +185,6 @@ def compute_targets_reference(
 # ---------------------------------------------------------------------------
 # Vectorized kernel
 # ---------------------------------------------------------------------------
-#: Backward-compatible alias — the gather helper moved to
-#: :mod:`repro.core.workspace` so plans can be cached across iterations.
-_gather_rows = gather_rows
-
-
-def _backend_float_dtype(ops: ArrayOps, np_dtype):
-    """``np_dtype`` (float32/float64) translated to ``ops``' namespace."""
-    if ops.is_numpy:
-        return np_dtype
-    return ops.float32 if np_dtype == np.float32 else ops.float64
-
-
 @snapshot_kernel("graph", "state")
 def compute_targets_vectorized(
     graph: CSRGraph,
@@ -215,10 +203,7 @@ def compute_targets_vectorized(
 
     One e_{v→C} aggregation over the active CSR entries plus scatter
     reductions; no per-vertex Python loop.  Produces exactly the targets of
-    :func:`compute_targets_reference` for every aggregation path.  Array
-    work runs on the workspace's :class:`~repro.backends.ArrayOps` backend
-    (NumPy bitwise-identically; accelerator namespaces when configured);
-    inputs and the returned targets are host arrays either way.
+    :func:`compute_targets_reference` for every aggregation path.
 
     Parameters
     ----------
@@ -239,7 +224,7 @@ def compute_targets_vectorized(
         run per graph.  All entries must be positive (zero-weight graphs
         are the caller's early-out).
     """
-    vertices = numpy_ops.asarray(vertices, dtype=np.int64)
+    vertices = np.asarray(vertices, dtype=np.int64)
     m = graph.total_weight
     cur = state.comm[vertices]
     if vertices.size == 0 or (m_v is None and m <= 0):
@@ -253,39 +238,34 @@ def compute_targets_vectorized(
     if workspace is not None:
         plan = workspace.plan(vertices, key=plan_key)
         mode = aggregation if aggregation is not None else workspace.aggregation
-        ops = workspace.ops
     else:
         plan = build_plan(graph, vertices)
         mode = aggregation if aggregation is not None else "auto"
-        ops = get_ops()
     if plan.owner.size == 0:
         return cur.copy()
 
     pair_owner, pair_comm, e, mode_used = aggregate_pairs(
-        plan, state.comm, n, mode, ops
+        plan, state.comm, n, mode
     )
     if workspace is not None:
         workspace.last_aggregation = mode_used
 
     num_active = vertices.size
-    k_v = plan.device(ops)[3]
-    cur_d = ops.asarray(cur)
-    comm_degree = ops.asarray(state.comm_degree)
+    k_v = plan.degrees
+    comm_degree = state.comm_degree
 
     # e_{v→C(v)\{v}} per active vertex (0 when no same-community neighbor).
     # Scratch accumulators follow the graph's weight dtype (float32 graphs
     # halve the accumulator traffic; float64 graphs are bit-unchanged).
-    if workspace is not None and ops.is_numpy:
+    if workspace is not None:
         e_cur = workspace.fweight("e_cur", num_active)
         e_cur.fill(0.0)
     else:
-        e_cur = ops.zeros(
-            num_active, dtype=_backend_float_dtype(ops, plan.weights.dtype)
-        )
-    own_pairs = pair_comm == ops.take(cur_d, pair_owner)
-    ops.put(e_cur, pair_owner[own_pairs], e[own_pairs])
+        e_cur = np.zeros(num_active, dtype=plan.weights.dtype)
+    own_pairs = pair_comm == np.take(cur, pair_owner)
+    e_cur[pair_owner[own_pairs]] = e[own_pairs]
 
-    a_cur_excl = ops.take(comm_degree, cur_d) - k_v
+    a_cur_excl = np.take(comm_degree, cur) - k_v
 
     # Eq. 4 gain of every pair, with the exact operation order of the
     # reference kernel (bitwise-identical rounding is what makes the
@@ -294,17 +274,17 @@ def compute_targets_vectorized(
     # four candidate-compacted copies, and harmless: an all-own segment
     # reduces to −inf, which never passes ``best > 0``.
     penalty = resolution * (
-        2.0 * ops.take(k_v, pair_owner)
-        * (ops.take(a_cur_excl, pair_owner) - ops.take(comm_degree, pair_comm))
+        2.0 * np.take(k_v, pair_owner)
+        * (np.take(a_cur_excl, pair_owner) - np.take(comm_degree, pair_comm))
     )
     if m_v is None:
         two_m_sq = (2.0 * m) ** 2
-        gain = (e - ops.take(e_cur, pair_owner)) / m + penalty / two_m_sq
+        gain = (e - np.take(e_cur, pair_owner)) / m + penalty / two_m_sq
     else:
-        m_pair = ops.take(ops.asarray(m_v), pair_owner)
-        tmsq_pair = ops.take(ops.asarray(two_m_sq_v), pair_owner)
-        gain = (e - ops.take(e_cur, pair_owner)) / m_pair + penalty / tmsq_pair
-    ops.masked_fill(gain, own_pairs, -math.inf)
+        m_pair = np.take(m_v, pair_owner)
+        tmsq_pair = np.take(two_m_sq_v, pair_owner)
+        gain = (e - np.take(e_cur, pair_owner)) / m_pair + penalty / tmsq_pair
+    gain[own_pairs] = -math.inf
 
     # Per-owner maximum gain.  Pairs arrive grouped by owner (the
     # aggregate_pairs ordering guarantee), so contiguous reduceat segment
@@ -313,38 +293,37 @@ def compute_targets_vectorized(
     # than the weight dtype — e.g. the bincount path accumulates float64
     # even on float32 graphs — and equality selection below requires the
     # exact values).
-    if workspace is not None and ops.is_numpy:
+    if workspace is not None:
         best_gain = workspace.fweight("best_gain", num_active,
                                       dtype=gain.dtype)
         best_gain.fill(-np.inf)
         chosen = workspace.i64("chosen", num_active)
         chosen.fill(n if use_min_label else -1)
     else:
-        best_gain = ops.full(num_active, -math.inf, dtype=gain.dtype)
-        chosen = ops.full(num_active, n if use_min_label else -1,
-                          dtype=ops.int64)
-    seg_starts = ops.run_boundaries(pair_owner)
+        best_gain = np.full(num_active, -math.inf, dtype=gain.dtype)
+        chosen = np.full(num_active, n if use_min_label else -1,
+                         dtype=np.int64)
+    seg_starts = run_boundaries(pair_owner)
     if seg_starts.size:
-        ops.put(best_gain, ops.take(pair_owner, seg_starts),
-                ops.maximum_reduceat(gain, seg_starts))
+        best_gain[np.take(pair_owner, seg_starts)] = \
+            np.maximum.reduceat(gain, seg_starts)
 
     # Among ties at the maximum, select the minimum (or, for the ablation,
     # maximum) community label.
-    winners = gain == ops.take(best_gain, pair_owner)
+    winners = gain == np.take(best_gain, pair_owner)
     targets = cur.copy()
     win_owner = pair_owner[winners]
-    win_starts = ops.run_boundaries(win_owner)
+    win_starts = run_boundaries(win_owner)
     if win_starts.size:
         win_comm = pair_comm[winners]
         if use_min_label:
-            ops.put(chosen, ops.take(win_owner, win_starts),
-                    ops.minimum_reduceat(win_comm, win_starts))
+            chosen[np.take(win_owner, win_starts)] = \
+                np.minimum.reduceat(win_comm, win_starts)
         else:
-            ops.put(chosen, ops.take(win_owner, win_starts),
-                    ops.maximum_reduceat(win_comm, win_starts))
-    move = ops.to_numpy(best_gain > 0.0)
-    chosen_h = ops.to_numpy(chosen)
-    targets[move] = chosen_h[move]
+            chosen[np.take(win_owner, win_starts)] = \
+                np.maximum.reduceat(win_comm, win_starts)
+    move = best_gain > 0.0
+    targets[move] = chosen[move]
 
     if use_min_label:
         # Singlet rule: both source and destination singlets → only allow a
@@ -393,7 +372,7 @@ def compute_targets(
     guard changes no results — target computation is read-only by
     contract — and costs O(1) flag flips per sweep.
     """
-    vertices = numpy_ops.asarray(vertices, dtype=np.int64)
+    vertices = np.asarray(vertices, dtype=np.int64)
     sanitize = resolve_sanitize(sanitize)
     guard = frozen_snapshot(state) if sanitize else nullcontext()
     span = get_tracer().span(
@@ -435,8 +414,8 @@ def compute_targets(
             ),
             chunks,
         )
-        return (numpy_ops.concat(results) if results
-                else numpy_ops.zeros(0, np.int64))
+        return (np.concatenate(results) if results
+                else np.zeros(0, np.int64))
 
 
 @dataclass(frozen=True)
@@ -476,7 +455,7 @@ _NO_MOVES = None  # lazily built empty MoveResult
 def _empty_move_result() -> MoveResult:
     global _NO_MOVES
     if _NO_MOVES is None:
-        empty = numpy_ops.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
         _NO_MOVES = MoveResult(empty, 0.0, 0.0, empty)
     return _NO_MOVES
 
@@ -512,8 +491,8 @@ def apply_moves_tracked(
     ``Δintra = 2·ΔS − ΔP`` counts each direction exactly once.  Self-loops
     sit in both ``S`` and ``P`` and are always intra, so they cancel.
     """
-    vertices = numpy_ops.asarray(vertices, dtype=np.int64)
-    targets = numpy_ops.asarray(targets, dtype=np.int64)
+    vertices = np.asarray(vertices, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
     if vertices.shape != targets.shape:
         raise ValidationError("vertices and targets must be aligned")
     cur = state.comm[vertices]
@@ -533,7 +512,7 @@ def apply_moves_tracked(
     if workspace is not None:
         mover_mask = workspace.zeros_bool("mover_mask", n)
     else:
-        mover_mask = numpy_ops.zeros(n, dtype=bool)
+        mover_mask = np.zeros(n, dtype=bool)
     mover_mask[mv] = True
     both_moved = mover_mask[nbr]
 
@@ -549,17 +528,17 @@ def apply_moves_tracked(
     if workspace is not None:
         affected_mask = workspace.zeros_bool("affected_mask", n)
     else:
-        affected_mask = numpy_ops.zeros(n, dtype=bool)
+        affected_mask = np.zeros(n, dtype=bool)
     affected_mask[src] = True
     affected_mask[dst_comm] = True
-    affected = numpy_ops.flatnonzero(affected_mask)
+    affected = np.flatnonzero(affected_mask)
     affected_mask[affected] = False  # reset the scratch for the next call
     a_before = state.comm_degree[affected].copy()
     state.comm[mv] = dst_comm
-    numpy_ops.scatter_sub(state.comm_degree, src, k)
-    numpy_ops.scatter_add(state.comm_degree, dst_comm, k)
-    numpy_ops.scatter_sub(state.comm_size, src, 1)
-    numpy_ops.scatter_add(state.comm_size, dst_comm, 1)
+    np.subtract.at(state.comm_degree, src, k)
+    np.add.at(state.comm_degree, dst_comm, k)
+    np.subtract.at(state.comm_size, src, 1)
+    np.add.at(state.comm_size, dst_comm, 1)
     a_after = state.comm_degree[affected]
     delta_degree_sq = float((a_after * a_after - a_before * a_before).sum())
 
@@ -575,7 +554,7 @@ def apply_moves_tracked(
         frontier_out[nbr] = True
         frontier = mv[:0]
     else:
-        frontier = numpy_ops.unique(numpy_ops.concat((mv, nbr)))
+        frontier = np.unique(np.concatenate((mv, nbr)))
     return MoveResult(mv, delta_intra, delta_degree_sq, frontier)
 
 
@@ -593,8 +572,8 @@ def apply_moves(
     Use :func:`apply_moves_tracked` when the caller also needs the
     incremental-modularity deltas and the pruning frontier.
     """
-    vertices = numpy_ops.asarray(vertices, dtype=np.int64)
-    targets = numpy_ops.asarray(targets, dtype=np.int64)
+    vertices = np.asarray(vertices, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
     if vertices.shape != targets.shape:
         raise ValidationError("vertices and targets must be aligned")
     cur = state.comm[vertices]
@@ -606,10 +585,10 @@ def apply_moves(
     dst = targets[moved]
     k = graph.degrees[mv]
     state.comm[mv] = dst
-    numpy_ops.scatter_sub(state.comm_degree, src, k)
-    numpy_ops.scatter_add(state.comm_degree, dst, k)
-    numpy_ops.scatter_sub(state.comm_size, src, 1)
-    numpy_ops.scatter_add(state.comm_size, dst, 1)
+    np.subtract.at(state.comm_degree, src, k)
+    np.add.at(state.comm_degree, dst, k)
+    np.subtract.at(state.comm_size, src, 1)
+    np.add.at(state.comm_size, dst, 1)
     return int(moved.sum())
 
 

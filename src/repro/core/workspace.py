@@ -43,9 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends import ArrayOps, get_ops, numpy_ops
 from repro.graph.csr import CSRGraph
 from repro.lint.sanitizer import snapshot_kernel
+from repro.utils.arrays import run_boundaries
 from repro.utils.errors import ValidationError
 
 __all__ = [
@@ -75,19 +75,16 @@ def gather_rows(graph: CSRGraph, vertices: np.ndarray
     ``graph.indices``/``graph.weights`` and ``owner[e]`` is the index into
     ``vertices`` owning entry ``e``.
     """
-    # Plan construction is host-side by design (CSR slicing over the host
-    # graph); ``numpy_ops`` routes the calls through the dispatch tier.
-    xp = numpy_ops
     indptr = graph.indptr
     starts = indptr[vertices]
-    lengths = xp.astype(indptr[vertices + 1] - starts, np.int64)
+    lengths = (indptr[vertices + 1] - starts).astype(np.int64)
     total = int(lengths.sum())
     if total == 0:
-        return xp.zeros(0, np.int64), xp.zeros(0, np.int64)
-    owner = xp.repeat(xp.arange(len(vertices), dtype=np.int64), lengths)
-    ends = xp.cumsum(lengths)
-    local = xp.arange(total, dtype=np.int64) - xp.repeat(ends - lengths, lengths)
-    positions = xp.repeat(starts, lengths) + local
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    owner = np.repeat(np.arange(len(vertices), dtype=np.int64), lengths)
+    ends = np.cumsum(lengths)
+    local = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
+    positions = np.repeat(starts, lengths) + local
     return positions, owner
 
 
@@ -116,40 +113,24 @@ class GatherPlan:
     num_entries: int
     #: Lazily built active-rows sparse adjacency for the matmul path.
     _matrix: "object | None" = field(default=None, repr=False)
-    #: Per-backend device copies of (owner, dst, weights, degrees), keyed
-    #: by backend name — built once per plan, reused every sweep.
-    _device: dict = field(default_factory=dict, repr=False)
 
     def matrix(self, n: int):
         """The (|vertices|, n) CSR adjacency of the active rows (cached)."""
         if self._matrix is None:
-            counts = numpy_ops.bincount(self.owner, minlength=self.vertices.size)
-            indptr = numpy_ops.zeros(self.vertices.size + 1, dtype=np.int64)
-            numpy_ops.cumsum(counts, out=indptr[1:])
+            counts = np.bincount(self.owner, minlength=self.vertices.size)
+            indptr = np.zeros(self.vertices.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
             self._matrix = _sparse.csr_matrix(
                 (self.weights, self.dst, indptr),
                 shape=(self.vertices.size, n),
             )
         return self._matrix
 
-    def device(self, ops: ArrayOps):
-        """``(owner, dst, weights, degrees)`` on ``ops``' backend (cached)."""
-        if ops.is_numpy:
-            return self.owner, self.dst, self.weights, self.degrees
-        cached = self._device.get(ops.name)
-        if cached is None:
-            cached = tuple(
-                ops.from_numpy(a)
-                for a in (self.owner, self.dst, self.weights, self.degrees)
-            )
-            self._device[ops.name] = cached
-        return cached
-
 
 @snapshot_kernel("graph")
 def build_plan(graph: CSRGraph, vertices: np.ndarray) -> GatherPlan:
     """Build the gather plan for one vertex set (one O(E_active) pass)."""
-    vertices = numpy_ops.asarray(vertices, dtype=np.int64)
+    vertices = np.asarray(vertices, dtype=np.int64)
     positions, owner = gather_rows(graph, vertices)
     num_entries = positions.size
     dst = graph.indices[positions]
@@ -170,23 +151,20 @@ def build_plan(graph: CSRGraph, vertices: np.ndarray) -> GatherPlan:
     )
 
 
-def _resolve_mode(mode: str, num_active: int, n: int, num_pairs: int,
-                  ops: ArrayOps = numpy_ops) -> str:
+def _resolve_mode(mode: str, num_active: int, n: int, num_pairs: int) -> str:
     """Pick the concrete aggregation path for one sweep.
 
     The bincount path costs O(key range); it is linear overall only when
     ``num_active·(n+1)`` stays within a small multiple of the entry count,
     which holds for small/coarse graphs and shrunken frontiers.  Otherwise
     the sparse-matmul path is O(n + E); the sort path is the last resort.
-    SciPy's SMMP kernel is host-only, so on non-NumPy backends the matmul
-    path resolves away exactly as it does on SciPy-less installs.
     """
     if mode != "auto":
         return mode
     key_range = num_active * (n + 1)
     if key_range <= max(1 << 16, 8 * num_pairs):
         return "bincount"
-    if _sparse is not None and ops.is_numpy:
+    if _sparse is not None:
         return "matmul"
     return "sort"
 
@@ -197,14 +175,12 @@ def aggregate_pairs(
     comm: np.ndarray,
     n: int,
     mode: str = "auto",
-    ops: ArrayOps = numpy_ops,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Aggregate ``e_{v→C}`` over the plan's entries.
 
     Returns ``(pair_owner, pair_comm, e, mode_used)`` where the first three
     arrays are aligned: ``e[i]`` is the total weight from active vertex
     ``plan.vertices[pair_owner[i]]`` into community ``pair_comm[i]``.
-    The arrays live on ``ops``' backend (NumPy by default).
 
     Ordering guarantee: pairs are **grouped by owner in ascending order**
     (bincount/sort additionally sort by community within an owner; matmul
@@ -216,48 +192,46 @@ def aggregate_pairs(
     if mode not in AGGREGATIONS:
         raise ValidationError(f"unknown aggregation {mode!r}")
     num_active = plan.vertices.size
-    mode = _resolve_mode(mode, num_active, n, plan.owner.size, ops)
-    if mode == "matmul" and (_sparse is None or not ops.is_numpy):
+    mode = _resolve_mode(mode, num_active, n, plan.owner.size)
+    if mode == "matmul" and _sparse is None:
         mode = "sort"
 
-    owner, dst, weights, _ = plan.device(ops)
-    comm = ops.asarray(comm)
+    owner, dst, weights = plan.owner, plan.dst, plan.weights
 
     # Python-int stride: owner/dst are int64, so the product dtype is
-    # unchanged, and backend arrays accept python scalars where they may
-    # reject NumPy scalar types.
+    # unchanged.
     if mode == "bincount":
-        key = owner * (n + 1) + ops.take(comm, dst)
-        totals = ops.bincount(key, weights=weights,
-                              minlength=num_active * (n + 1))
-        pairs = ops.flatnonzero(totals)
+        key = owner * (n + 1) + np.take(comm, dst)
+        totals = np.bincount(key, weights=weights,
+                             minlength=num_active * (n + 1))
+        pairs = np.flatnonzero(totals)
         pair_owner = pairs // (n + 1)
         pair_comm = pairs - pair_owner * (n + 1)
-        return pair_owner, pair_comm, ops.take(totals, pairs), mode
+        return pair_owner, pair_comm, np.take(totals, pairs), mode
 
     if mode == "matmul":
         indicator = _sparse.csr_matrix(
-            (numpy_ops.ones(n, dtype=np.float64), comm,
-             numpy_ops.arange(n + 1, dtype=np.int64)),
+            (np.ones(n, dtype=np.float64), comm,
+             np.arange(n + 1, dtype=np.int64)),
             shape=(n, n),
         )
         product = plan.matrix(n) @ indicator
-        pair_owner = numpy_ops.repeat(
-            numpy_ops.arange(num_active, dtype=np.int64),
-            numpy_ops.diff(product.indptr),
+        pair_owner = np.repeat(
+            np.arange(num_active, dtype=np.int64),
+            np.diff(product.indptr),
         )
-        return (pair_owner, numpy_ops.astype(product.indices, np.int64),
+        return (pair_owner, product.indices.astype(np.int64),
                 product.data, mode)
 
     # Seed path: sort (owner, community) keys, segment-sum the weights.
-    dst_comm = ops.take(comm, dst)
+    dst_comm = np.take(comm, dst)
     key = owner * (n + 1) + dst_comm
-    order = ops.argsort_stable(key)
-    key_s = ops.take(key, order)
-    starts = ops.run_boundaries(key_s)
-    e = ops.add_reduceat(ops.take(weights, order), starts)
-    pair_owner = ops.take(ops.take(owner, order), starts)
-    pair_comm = ops.take(ops.take(dst_comm, order), starts)
+    order = np.argsort(key, kind="stable")
+    key_s = np.take(key, order)
+    starts = run_boundaries(key_s)
+    e = np.add.reduceat(np.take(weights, order), starts)
+    pair_owner = np.take(np.take(owner, order), starts)
+    pair_comm = np.take(np.take(dst_comm, order), starts)
     return pair_owner, pair_comm, e, "sort"
 
 
@@ -275,25 +249,16 @@ class SweepWorkspace:
     * full-size scratch arrays (weight-dtype float/``int64``/``bool``) that
       the kernels slice per sweep instead of reallocating.
 
-    ``array_backend`` selects the :class:`~repro.backends.ArrayOps`
-    namespace the sweep kernels run against (``None`` follows
-    ``REPRO_ARRAY_BACKEND``, default NumPy); the resolved object is exposed
-    as ``self.ops``.  Scratch pools are host-side NumPy — non-NumPy kernels
-    allocate their sweep arrays on-device instead of borrowing them.
-
     Not thread-safe: concurrent chunk evaluation must either share nothing
     (each worker owns a workspace, as the process backend does) or pass
     ``workspace=None`` (as the thread backend's chunk map does).
     """
 
-    def __init__(self, graph: CSRGraph, aggregation: str = "auto",
-                 array_backend: "str | None" = None):
+    def __init__(self, graph: CSRGraph, aggregation: str = "auto"):
         if aggregation not in AGGREGATIONS:
             raise ValidationError(f"unknown aggregation {aggregation!r}")
         self.graph = graph
         self.aggregation = aggregation
-        #: Resolved array-API backend for this workspace's sweeps.
-        self.ops: ArrayOps = get_ops(array_backend)
         #: Aggregation path the most recent sweep actually used.
         self.last_aggregation: str | None = None
         self._plans: dict[object, GatherPlan] = {}
@@ -309,7 +274,7 @@ class SweepWorkspace:
         if entry is not None and (
             entry.vertices is vertices
             or (key is not None
-                and numpy_ops.array_equal(entry.vertices, vertices))
+                and np.array_equal(entry.vertices, vertices))
         ):
             return entry
         entry = build_plan(self.graph, vertices)
@@ -324,8 +289,7 @@ class SweepWorkspace:
     def _scratch(self, pool: dict, name: str, size: int, dtype) -> np.ndarray:
         buf = pool.get(name)
         if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = numpy_ops.empty(max(size, self.graph.num_vertices),
-                                  dtype=dtype)
+            buf = np.empty(max(size, self.graph.num_vertices), dtype=dtype)
             pool[name] = buf
         return buf[:size]
 
@@ -354,8 +318,7 @@ class SweepWorkspace:
         """A bool scratch view of ``size``; caller must reset set bits."""
         buf = self._bool.get(name)
         if buf is None or buf.size < size:
-            buf = numpy_ops.zeros(max(size, self.graph.num_vertices),
-                                  dtype=bool)
+            buf = np.zeros(max(size, self.graph.num_vertices), dtype=bool)
             self._bool[name] = buf
         return buf[:size]
 

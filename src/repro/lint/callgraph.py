@@ -1,9 +1,8 @@
 """Project-wide symbol table and call graph for the interprocedural rules.
 
 The per-function AST rules of :mod:`repro.lint.rules` see one function at
-a time, so a snapshot write hidden one call away, a shared-memory view
-retained by a helper, or a raw ``np.`` call inside a utility invoked from
-the dispatch tier are all invisible to them.  This module builds the
+a time, so a snapshot write hidden one call away or a shared-memory view
+retained by a helper are invisible to them.  This module builds the
 missing global picture in one pass over the already-parsed trees:
 
 * a **symbol table** per module — top-level functions, classes and their

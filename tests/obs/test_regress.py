@@ -16,6 +16,7 @@ from repro.obs.regress import (
     PHASE_THRESHOLD,
     compare_records,
     load_records,
+    provenance,
     record_key,
     render_comparisons,
     rerun_batch_records,
@@ -185,6 +186,15 @@ class TestRecipeCrossCheck:
         bench = self._load_bench("bench_kernels")
         assert PHASE_GRAPHS == bench.PHASE_GRAPHS
         assert PHASE_THRESHOLD == bench.PHASE_THRESHOLD
+
+    def test_bench_scripts_share_the_provenance_helper(self):
+        # perfbench loads bench_kernels by path and calls its provenance;
+        # committed BENCH_*.json records carry the same stamp.
+        assert self._load_bench("bench_kernels").provenance is provenance
+        assert self._load_bench("bench_batch").provenance is provenance
+        stamp = provenance(REPO)
+        assert set(stamp) == {"commit", "date", "backend"}
+        assert stamp["backend"] == "numpy"
 
     def test_batch_recipe_matches_bench_batch(self):
         import numpy as np

@@ -43,6 +43,14 @@ class TestArrays:
         assert run_boundaries(np.array([])).tolist() == []
         assert run_boundaries(np.array([7])).tolist() == [0]
 
+    def test_run_boundaries_int64_for_every_shape(self):
+        cases = {(): [], (7,): [0], (1, 1, 2, 2, 2, 5): [0, 2, 5],
+                 (3, 3, 3): [0]}
+        for keys, want in cases.items():
+            got = run_boundaries(np.asarray(keys, dtype=np.int64))
+            assert got.tolist() == want, keys
+            assert got.dtype == np.int64, keys
+
     def test_segment_sums(self):
         keys = np.array([1, 1, 2, 2, 2])
         vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
