@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.arrays import run_boundaries
+from repro.utils.arrays import run_boundaries, unique_sorted
 
 
 def first_fit(colors: np.ndarray, vertices: np.ndarray, owner: np.ndarray,
@@ -36,7 +36,7 @@ def first_fit(colors: np.ndarray, vertices: np.ndarray, owner: np.ndarray,
     if owner.size == 0:
         return np.zeros(len(vertices), dtype=np.int64)
     width = int(nbr_color.max()) + 1
-    owner, used = np.divmod(np.unique(owner * width + nbr_color), width)
+    owner, used = np.divmod(unique_sorted(owner * width + nbr_color), width)
     # Within each vertex's run the used colors ascend without repeats, so
     # they match their rank in the run exactly on the prefix 0, 1, ...;
     # the length of that prefix is the smallest missing color.

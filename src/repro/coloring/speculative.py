@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.coloring._first_fit import first_fit
 from repro.graph.csr import CSRGraph
+from repro.utils.arrays import unique_sorted
 from repro.utils.rng import as_rng
 
 __all__ = ["speculative_coloring"]
@@ -86,6 +87,6 @@ def speculative_coloring(
         a = src[clash]
         b = nbr[clash]
         loser = np.where(priority[a] < priority[b], a, b)
-        pending = np.unique(loser)
+        pending = unique_sorted(loser)
         colors[pending] = -1
     return colors

@@ -9,11 +9,13 @@ loops.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import NONFINITE_WEIGHT_MESSAGE, CSRGraph
+from repro.utils.arrays import run_boundaries
 from repro.utils.errors import GraphStructureError
 
 __all__ = [
@@ -24,6 +26,18 @@ __all__ = [
 ]
 
 _COMBINERS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def _sort_order(key: np.ndarray, combine: str) -> np.ndarray:
+    """Argsort of the int64 entry keys, stable only where ties are visible.
+
+    Equal keys are merged by ``combine``; only ``'sum'`` can see their order
+    (float addition does not associate, so ``np.add.reduceat`` over a run
+    depends on the order of its weights), so it alone pays for a stable
+    sort, which keeps input order.  ``'min'``/``'max'`` results and
+    ``'error'``'s verdict do not depend on it.
+    """
+    return np.argsort(key, kind="stable" if combine == "sum" else None)
 
 
 def _assemble_csr(
@@ -38,7 +52,10 @@ def _assemble_csr(
     ``src``/``dst``/``w`` must already contain both orientations of every
     non-loop edge and exactly one entry per self-loop.  Duplicate ``(src,
     dst)`` entries are merged per ``combine`` (or rejected for
-    ``combine='error'``).
+    ``combine='error'``).  The entries are ordered by one argsort of the key
+    ``src * n + dst`` (``n * n < 2**63`` for any ``n`` whose ``indptr`` fits
+    in memory), the same composite key :func:`repro.graph.coarsen.coarsen`
+    sorts.
     """
     if combine != "error" and combine not in _COMBINERS:
         raise ValueError(f"unknown combine policy: {combine!r}")
@@ -50,31 +67,28 @@ def _assemble_csr(
         raise GraphStructureError(
             f"edge endpoints out of range [0, {num_vertices})"
         )
+    if not np.all(np.isfinite(w)):
+        raise GraphStructureError(NONFINITE_WEIGHT_MESSAGE)
     if not np.all(w > 0):
         raise GraphStructureError("edge weights must be strictly positive")
 
-    order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
+    key = src * num_vertices + dst
+    order = _sort_order(key, combine)
+    key, w = key[order], w[order]
 
-    dup = np.zeros(src.size, dtype=bool)
-    dup[1:] = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    dup = key[1:] == key[:-1]
     if dup.any():
         if combine == "error":
-            e = int(np.flatnonzero(dup)[0])
+            u, v = divmod(int(key[1:][dup][0]), num_vertices)
             raise GraphStructureError(
-                f"multi-edge detected between {int(src[e])} and {int(dst[e])} "
+                f"multi-edge detected between {u} and {v} "
                 "(pass combine='sum'/'min'/'max' to merge)"
             )
         # Collapse duplicate runs with the requested ufunc.
-        starts = np.flatnonzero(~dup)
-        if combine == "sum":
-            merged_w = np.add.reduceat(w, starts)
-        elif combine == "min":
-            merged_w = np.minimum.reduceat(w, starts)
-        else:
-            merged_w = np.maximum.reduceat(w, starts)
-        src, dst, w = src[starts], dst[starts], merged_w
+        starts = run_boundaries(key)
+        key, w = key[starts], _COMBINERS[combine].reduceat(w, starts)
 
+    src, dst = np.divmod(key, num_vertices)
     counts = np.bincount(src, minlength=num_vertices)
     indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -108,28 +122,17 @@ def from_edge_array(
             )
 
     u, v = edges[:, 0], edges[:, 1]
-    # Canonicalize pair orientation before duplicate detection so (u, v) and
-    # (v, u) in the input are recognized as the same undirected edge.
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     loops = lo == hi
-    # Directed expansion: both orientations of non-loops, loops once.
+    # Directed expansion: both orientations of non-loops, loops once.  A
+    # duplicated undirected pair, in either orientation or as a repeated
+    # loop, then repeats the entry key of its canonical (lo, hi) orientation
+    # -- the smallest repeated key -- so _assemble_csr's duplicate check
+    # names the same pair a check on the canonical pairs would.
     src = np.concatenate([lo, hi[~loops]])
     dst = np.concatenate([hi, lo[~loops]])
     ww = np.concatenate([w, w[~loops]])
-    # With combine='error' a duplicated undirected pair must be caught even
-    # though the expansion duplicates orientations legitimately; dedupe on
-    # the canonical orientation first.
-    if combine == "error":
-        order = np.lexsort((hi, lo))
-        clo, chi = lo[order], hi[order]
-        dup = (clo[1:] == clo[:-1]) & (chi[1:] == chi[:-1])
-        if dup.any():
-            e = int(np.flatnonzero(dup)[0])
-            raise GraphStructureError(
-                f"multi-edge detected between {int(clo[e])} and {int(chi[e])} "
-                "(pass combine='sum'/'min'/'max' to merge)"
-            )
     return _assemble_csr(num_vertices, src, dst, ww, combine)
 
 
@@ -150,14 +153,15 @@ def from_scipy_sparse(matrix, *, combine: str = "error") -> CSRGraph:
     i, j, w = mat.row.astype(np.int64), mat.col.astype(np.int64), mat.data.astype(np.float64)
     keep = w != 0
     i, j, w = i[keep], j[keep], w[keep]
+    if not np.all(np.isfinite(w)):
+        raise GraphStructureError(NONFINITE_WEIGHT_MESSAGE)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     # Merge the two triangles: a symmetric matrix yields each edge twice with
     # equal weight; 'error' tolerates exact duplicates but rejects conflicts.
-    order = np.lexsort((hi, lo))
+    key = lo * n + hi
+    order = _sort_order(key, combine)
     lo, hi, w = lo[order], hi[order], w[order]
-    dup = np.zeros(lo.size, dtype=bool)
-    dup[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-    starts = np.flatnonzero(~dup)
+    starts = run_boundaries(key[order])
     if combine == "error":
         counts = np.diff(np.append(starts, lo.size))
         if np.any(counts > 2):
@@ -182,7 +186,8 @@ def from_scipy_sparse(matrix, *, combine: str = "error") -> CSRGraph:
     src = np.concatenate([lo, hi[~loops]])
     dst = np.concatenate([hi, lo[~loops]])
     ww = np.concatenate([w, w[~loops]])
-    return _assemble_csr(n, src, dst, ww, "sum")
+    # The pairs are distinct now, so nothing is left to merge.
+    return _assemble_csr(n, src, dst, ww, "error")
 
 
 def from_networkx_graph(graph, *, weight: str = "weight") -> CSRGraph:
@@ -238,6 +243,8 @@ class GraphBuilder:
         """Buffer one undirected edge ``{u, v}`` (``u == v`` is a self-loop)."""
         if u < 0 or v < 0:
             raise GraphStructureError("vertex ids must be non-negative")
+        if not math.isfinite(weight):
+            raise GraphStructureError(NONFINITE_WEIGHT_MESSAGE)
         if weight <= 0:
             raise GraphStructureError("edge weights must be strictly positive")
         self._us.append(int(u))

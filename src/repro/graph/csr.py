@@ -38,6 +38,11 @@ _INDEX_DTYPE = np.int64
 _WEIGHT_DTYPE = np.float64
 #: Weight dtypes preserved as-is; anything else is coerced to float64.
 _ALLOWED_WEIGHT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+#: The one message for a NaN or infinite weight, whichever entry point sees it.
+NONFINITE_WEIGHT_MESSAGE = (
+    "edge weights must be finite (NaN/inf would poison total_weight and "
+    "every modularity computation)"
+)
 
 
 class CSRGraph:
@@ -55,8 +60,9 @@ class CSRGraph:
         with ``indices``.  ``None`` means unweighted (all ones).
     validate:
         When true (the default), check structural invariants: monotone
-        ``indptr``, ids in range, positive weights, sorted duplicate-free
-        rows, and symmetry of both adjacency and weights.
+        ``indptr``, ids in range, finite and strictly positive weights,
+        sorted duplicate-free rows, and symmetry of both adjacency and
+        weights.
 
     Notes
     -----
@@ -157,6 +163,15 @@ class CSRGraph:
     # Validation
     # ------------------------------------------------------------------
     def _validate(self) -> None:
+        """Check the invariants listed under ``validate``, cheapest first.
+
+        Everything after the range checks works on one int64 key per entry,
+        ``row * n + col``: rows are strictly increasing iff the keys are, and
+        the graph is then symmetric iff sorting the transposed keys
+        ``col * n + row`` reproduces them and carries every weight onto an
+        equal one.  Any ``n`` whose ``indptr`` fits in memory keeps
+        ``n * n`` below ``2**63``.
+        """
         n = self.num_vertices
         indptr, indices, weights = self.indptr, self.indices, self.weights
 
@@ -167,52 +182,40 @@ class CSRGraph:
             )
         if np.any(np.diff(indptr) < 0):
             raise GraphStructureError("indptr must be non-decreasing")
-        if indices.size:
-            if indices.min() < 0 or indices.max() >= n:
-                raise GraphStructureError("neighbor ids out of range [0, n)")
-            if not np.all(np.isfinite(weights)):
-                # Checked before the sign: np.inf passes `> 0`, then
-                # total_weight goes inf and modularity NaN downstream.
-                raise GraphStructureError(
-                    "edge weights must be finite (NaN/inf would poison "
-                    "total_weight and every modularity computation)"
-                )
-            if not np.all(weights > 0):
-                raise GraphStructureError(
-                    "edge weights must be strictly positive (paper §2)"
-                )
-        # Rows sorted, no duplicates within a row.
+        if indices.size == 0:
+            return
+        if indices.min() < 0 or indices.max() >= n:
+            raise GraphStructureError("neighbor ids out of range [0, n)")
+        if not np.all(np.isfinite(weights)):
+            # Checked before the sign: np.inf passes `> 0`, then
+            # total_weight goes inf and modularity NaN downstream.
+            raise GraphStructureError(NONFINITE_WEIGHT_MESSAGE)
+        if not np.all(weights > 0):
+            raise GraphStructureError(
+                "edge weights must be strictly positive (paper §2)"
+            )
+        # Rows sorted, no duplicates within a row: with ids in [0, n) the
+        # keys cross a row boundary upwards, so this is one comparison.
         row_of = self.row_of_entry()
-        if indices.size:
-            same_row = row_of[1:] == row_of[:-1]
-            if np.any(same_row & (indices[1:] <= indices[:-1])):
-                raise GraphStructureError(
-                    "adjacency rows must be strictly increasing "
-                    "(sorted, duplicate-free neighbor lists)"
-                )
-        # Symmetry of structure and weights: the multiset of (min,max,w)
-        # triples over non-loop entries must pair up exactly.
-        loops = indices == row_of
-        u = row_of[~loops]
-        v = indices[~loops]
-        w = weights[~loops]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        order = np.lexsort((w, hi, lo))
-        lo, hi, w = lo[order], hi[order], w[order]
-        if lo.size % 2 != 0:
+        key = row_of * n + indices
+        if np.any(key[1:] <= key[:-1]):
+            raise GraphStructureError(
+                "adjacency rows must be strictly increasing "
+                "(sorted, duplicate-free neighbor lists)"
+            )
+        # Symmetry of structure and weights.  Non-loop entries pair up with
+        # their mirrors, so an odd count cannot; a self-loop is its own
+        # mirror and needs no masking in the transpose test.
+        num_loops = np.count_nonzero(indices == row_of)
+        if (indices.size - num_loops) % 2 != 0:
             raise GraphStructureError("adjacency is not symmetric")
-        if lo.size:
-            a = slice(0, None, 2)
-            b = slice(1, None, 2)
-            if (
-                np.any(lo[a] != lo[b])
-                or np.any(hi[a] != hi[b])
-                or np.any(w[a] != w[b])
-            ):
-                raise GraphStructureError(
-                    "adjacency (or its weights) is not symmetric"
-                )
+        transposed = indices * n + row_of
+        # The keys are distinct, so any sort gives the same permutation.
+        order = np.argsort(transposed)
+        if np.any(transposed[order] != key) or np.any(weights[order] != weights):
+            raise GraphStructureError(
+                "adjacency (or its weights) is not symmetric"
+            )
 
     # ------------------------------------------------------------------
     # Basic properties

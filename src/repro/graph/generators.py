@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.graph.build import from_edge_array
 from repro.graph.csr import CSRGraph
+from repro.utils.arrays import unique_sorted
 from repro.utils.errors import ValidationError
 from repro.utils.rng import as_rng
 
@@ -57,16 +58,18 @@ __all__ = [
 
 
 def _dedupe_pairs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonicalize and deduplicate undirected pairs, dropping self-loops."""
+    """Canonicalize and deduplicate undirected pairs, dropping self-loops.
+
+    The pairs come back in ascending ``(lo, hi)`` order.
+    """
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     keep = lo != hi
     lo, hi = lo[keep], hi[keep]
     if lo.size == 0:
         return lo, hi
-    key = lo * (hi.max() + 1) + hi
-    _, first = np.unique(key, return_index=True)
-    return lo[first], hi[first]
+    base = hi.max() + 1
+    return np.divmod(unique_sorted(lo * base + hi), base)
 
 
 def _build(n: int, lo: np.ndarray, hi: np.ndarray) -> CSRGraph:

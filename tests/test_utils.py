@@ -11,6 +11,7 @@ from repro.utils.arrays import (
     run_boundaries,
     segment_max,
     segment_sums,
+    unique_sorted,
 )
 from repro.utils.errors import (
     GraphFormatError,
@@ -50,6 +51,20 @@ class TestArrays:
             got = run_boundaries(np.asarray(keys, dtype=np.int64))
             assert got.tolist() == want, keys
             assert got.dtype == np.int64, keys
+
+    @pytest.mark.parametrize("keys", [
+        [], [7], [4, 4, 4, 4], [-3, 5, -3, 0, -9, 5, 2**40, -(2**40)],
+    ], ids=["empty", "single", "all-equal", "negative"])
+    def test_unique_sorted_matches_np_unique(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        got = unique_sorted(keys)
+        want = np.unique(keys)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_unique_sorted_random_int64(self):
+        keys = np.random.default_rng(5).integers(-50, 50, size=1000)
+        np.testing.assert_array_equal(unique_sorted(keys), np.unique(keys))
 
     def test_segment_sums(self):
         keys = np.array([1, 1, 2, 2, 2])
